@@ -29,12 +29,13 @@ lint:
 # Race tier: the concurrency-heavy packages under the race detector. The
 # native runtime (engine lifecycle, transport, control plane), the MPSC
 # ring, the payload transport, the observability recorder, the executor
-# registry that fronts the runtime, and the parallel experiment driver are
-# where a data race would actually live. The exp run is scoped to the
+# registry that fronts the runtime, the MultiQueue (shared across workers
+# through try-locks and atomic cached tops), and the parallel experiment
+# driver are where a data race would actually live. The exp run is scoped to the
 # driver tests: racing the full figure suite is ~10min on one core and
 # exercises no concurrency the driver tests don't.
 race:
-	$(GO) test -race ./internal/rq/... ./internal/runtime/... ./internal/bag/... ./internal/obs/... ./internal/exec/... ./internal/chaos/... ./internal/netchaos/...
+	$(GO) test -race ./internal/pq/... ./internal/rq/... ./internal/runtime/... ./internal/bag/... ./internal/obs/... ./internal/exec/... ./internal/chaos/... ./internal/netchaos/...
 	$(GO) test -race -run 'TestParallel' -count=1 ./internal/exp/
 
 # Chaos tier: the fault-injection soaks (internal/chaos) under the race

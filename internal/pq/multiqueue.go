@@ -112,7 +112,7 @@ type mqShard struct {
 	dbuf []task.Task
 	dpos int
 	ibuf []task.Task
-	heap []task.Task
+	heap BinaryHeap
 
 	_ [3]int64 // pad shards apart
 }
@@ -186,8 +186,7 @@ func (s *mqShard) stage(t task.Task, batchCap int) {
 
 func (s *mqShard) flushIbuf() {
 	for _, t := range s.ibuf {
-		s.heap = append(s.heap, t)
-		siftUpTasks(s.heap)
+		s.heap.Push(t)
 	}
 	s.ibuf = s.ibuf[:0]
 }
@@ -214,14 +213,9 @@ func (s *mqShard) refill(batchCap int) {
 	if len(s.ibuf) > 0 {
 		s.flushIbuf()
 	}
-	for i := 0; i < batchCap && len(s.heap) > 0; i++ {
-		s.dbuf = append(s.dbuf, s.heap[0])
-		last := len(s.heap) - 1
-		s.heap[0] = s.heap[last]
-		s.heap = s.heap[:last]
-		if last > 1 {
-			siftDownTasks(s.heap)
-		}
+	for i := 0; i < batchCap && s.heap.Len() > 0; i++ {
+		t, _ := s.heap.Pop()
+		s.dbuf = append(s.dbuf, t)
 	}
 }
 

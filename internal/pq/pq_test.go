@@ -19,7 +19,7 @@ func impls() map[string]func() Queue {
 		// A tiny hot buffer and bucket ring force the spill, refill, grow,
 		// and fallback paths through the same generic suites.
 		"twolevel-tiny": func() Queue {
-			return NewTwoLevel(TwoLevelConfig{HotCap: 2, MaxBuckets: 64, QuantShift: 1})
+			return NewTwoLevel(TwoLevelConfig{HotCap: 2, MaxBuckets: 64})
 		},
 	}
 }
@@ -85,13 +85,11 @@ func TestQueueEquivalence(t *testing.T) {
 	err := quick.Check(func(raw []int16) bool {
 		ref := NewBinaryHeap(len(raw))
 		others := map[string]Queue{
-			"bucket":  NewBucketQueue(),
-			"pairing": NewPairingHeap(),
-			"4-ary":   NewQuadHeap(0),
-			"8-ary":   NewDHeap(8, 0),
-			"twolevel": NewTwoLevel(TwoLevelConfig{
-				HotCap: 4, MaxBuckets: 128, QuantShift: 2,
-			}),
+			"bucket":   NewBucketQueue(),
+			"pairing":  NewPairingHeap(),
+			"4-ary":    NewQuadHeap(0),
+			"8-ary":    NewDHeap(8, 0),
+			"twolevel": NewTwoLevel(TwoLevelConfig{HotCap: 4, MaxBuckets: 128}),
 		}
 		for i, p := range raw {
 			tk := task.Task{Node: uint32(i), Prio: int64(p)}

@@ -7,14 +7,14 @@ import (
 )
 
 // TwoLevel is the paper-faithful per-worker queue shape (§III-D): a small
-// fixed-capacity sorted **hot buffer** modeling the 48-entry hPQ — Pop is
-// O(1) off the front, Push is a binary search plus a memmove of at most
-// HotCap entries, all within one or two cache lines' worth of tasks — in
-// front of a **monotone bucket cold store** keyed on quantized priority
-// (Prio >> QuantShift), which absorbs spills in O(1) amortized instead of
-// the O(log n) sifts a comparison heap pays.
+// fixed-capacity **hot buffer** sorted on Prio, modeling the 48-entry hPQ —
+// Pop is O(1) off the front, Push is a binary search plus a memmove of at
+// most HotCap entries, all within one or two cache lines' worth of tasks —
+// in front of a **monotone bucket cold store** with one FIFO bucket per
+// priority, which absorbs spills with an append and serves them with a head
+// bump instead of the O(log n) sifts a comparison heap pays.
 //
-// The bucket store is a power-of-two ring of per-priority mini-heaps with an
+// The bucket store is a power-of-two ring of per-priority FIFOs with an
 // occupancy bitmap and a scan cursor. It is built for the monotone traffic
 // integer-priority graph workloads emit (pops never decrease, pushes land at
 // or above the cursor): a push below the cursor simply rewinds it — cheap,
@@ -24,20 +24,22 @@ import (
 // d-ary heap once and for all (Stats.Fallbacks). The hot buffer keeps
 // serving either way.
 //
-// Ordering is EXACT, not relaxed: every bucket is itself a min-heap under
-// task.Less and Pop compares the hot front against the cold minimum, so the
-// pop sequence equals a global heap's regardless of quantization, spills, or
-// fallback. That is what lets the simulator charge its hPQ cost model
-// against this same structure with bit-identical task ordering, and what
-// keeps every workload Verify() exact under the native runtime.
+// Ordering is PRIORITY-EXACT: every pop returns a task of the minimum
+// resident Prio, regardless of spills, rewinds, or fallback; tasks of equal
+// Prio may pop in any order. Nothing downstream needs more — delta-stepping
+// gives whole wavefronts one Prio, and the order within one Prio does not
+// change any workload's answer — while a (Prio, Node) total order would
+// cost a heap sift on every cold push and pop. The simulator charges its
+// hPQ cost model against this same structure, so native and simulated runs
+// share one ordering, and every workload still Verify()s exactly under the
+// native runtime.
 //
 // Like every pq.Queue, a TwoLevel is single-owner: no internal locking.
 type TwoLevel struct {
-	// hot[head:] is the resident window, ascending in task.Less order.
+	// hot[head:] is the resident window, ascending in Prio.
 	hot   []task.Task
 	head  int
 	cap   int
-	shift uint
 	arity int
 
 	cold coldBuckets
@@ -51,15 +53,11 @@ type TwoLevel struct {
 }
 
 // TwoLevelConfig sizes a TwoLevel. The zero value gives the paper's shape:
-// a 48-entry hot buffer, no priority quantization, a cold ring growing to
-// 64Ki buckets, and a 4-ary fallback heap.
+// a 48-entry hot buffer, a cold ring growing to 64Ki buckets, and a 4-ary
+// fallback heap.
 type TwoLevelConfig struct {
 	// HotCap is the hot-buffer capacity (<=0 selects 48, §III-D's hPQ size).
 	HotCap int
-	// QuantShift right-shifts priorities into bucket keys; 0 keeps one
-	// bucket per distinct priority. Ordering stays exact at any shift —
-	// quantization only trades bucket count against per-bucket heap depth.
-	QuantShift uint
 	// MaxBuckets caps the cold ring's growth (rounded up to a power of two,
 	// minimum 64; <=0 selects 1<<16). A resident priority span that cannot
 	// fit triggers the heap fallback instead of further growth.
@@ -93,13 +91,12 @@ const (
 // twoLevelStartW is the cold ring's initial bucket count.
 const twoLevelStartW = 256
 
-// Bucket-storage slab parameters: fresh mini-heaps start with
-// bucketSeedCap entries of capacity carved from a bucketSlabLen-entry
-// arena chunk. A drained bucket that grew to bucketBigCap or beyond moves
-// to the freelist (up to bucketFreeMax entries) so the capacity follows
-// the deep frontier — BFS drains one level's bucket as the next fills —
-// while smaller ones stay parked at their ring index for the next
-// priority that wraps onto it.
+// Bucket-storage slab parameters: fresh buckets start with bucketSeedCap
+// entries of capacity carved from a bucketSlabLen-entry arena chunk. A
+// drained bucket that grew to bucketBigCap or beyond moves to the freelist
+// (up to bucketFreeMax entries) so the capacity follows the deep frontier —
+// BFS drains one level's bucket as the next fills — while smaller ones stay
+// parked at their ring index for the next priority that wraps onto it.
 const (
 	bucketSeedCap = 8
 	bucketSlabLen = 1024
@@ -125,7 +122,6 @@ func NewTwoLevel(cfg TwoLevelConfig) *TwoLevel {
 	q := &TwoLevel{
 		hot:   make([]task.Task, 0, 2*cfg.HotCap),
 		cap:   cfg.HotCap,
-		shift: cfg.QuantShift,
 		arity: cfg.Arity,
 	}
 	w := twoLevelStartW
@@ -170,12 +166,12 @@ func (q *TwoLevel) PushEx(t task.Task) (spilled bool) {
 		q.hotInsert(t)
 		return false
 	}
-	// Hot buffer full: keep the best HotCap tasks resident, exactly like
-	// the hardware queue — a task beating the current worst displaces it,
-	// anything else spills directly.
+	// Hot buffer full: keep the HotCap lowest priorities resident, exactly
+	// like the hardware queue — a task of strictly lower Prio than the
+	// current worst displaces it, anything else spills directly.
 	q.stats.Spills++
 	last := len(q.hot) - 1
-	if t.Less(q.hot[last]) {
+	if t.Prio < q.hot[last].Prio {
 		ev := q.hot[last]
 		q.hot = q.hot[:last]
 		q.hotInsert(t)
@@ -194,9 +190,9 @@ func (q *TwoLevel) PushCold(t task.Task) {
 	q.coldPush(t)
 }
 
-// Pop removes and returns the global minimum. An empty hot buffer refills
-// in bulk from the cold store (up to HotCap tasks, arriving sorted), so
-// steady-state pops are O(1) loads off the hot front.
+// Pop removes and returns a task of the minimum resident Prio. An empty hot
+// buffer refills in bulk from the cold store (up to HotCap tasks, arriving
+// in priority order), so steady-state pops are O(1) loads off the hot front.
 func (q *TwoLevel) Pop() (task.Task, bool) {
 	if q.size == 0 {
 		return task.Task{}, false
@@ -204,72 +200,72 @@ func (q *TwoLevel) Pop() (task.Task, bool) {
 	if q.head == len(q.hot) {
 		q.refill()
 	}
+	q.size--
 	hf := q.hot[q.head]
-	if c, ok := q.coldPeek(); ok && c.Less(hf) {
-		q.size--
+	if q.coldBelow(hf.Prio) {
 		return q.coldPop(), true
 	}
+	q.popHot()
+	return hf, true
+}
+
+// PopEx pops a task of the minimum resident Prio and reports whether the
+// hot buffer served it (the hot front wins ties). Unlike Pop it never
+// promotes cold tasks into the hot buffer, so each task's hot/cold
+// provenance — what the simulator charges hardware vs software cycles for —
+// matches the paper's hPQ+spill composition exactly.
+func (q *TwoLevel) PopEx() (t task.Task, fromHot, ok bool) {
+	if q.size == 0 {
+		return task.Task{}, false, false
+	}
+	q.size--
+	if q.head < len(q.hot) {
+		hf := q.hot[q.head]
+		if !q.coldBelow(hf.Prio) {
+			q.popHot()
+			return hf, true, true
+		}
+	}
+	return q.coldPop(), false, true
+}
+
+// Peek returns the task Pop would return next, without removing it.
+func (q *TwoLevel) Peek() (task.Task, bool) {
+	if q.size == 0 {
+		return task.Task{}, false
+	}
+	if q.head < len(q.hot) {
+		hf := q.hot[q.head]
+		if !q.coldBelow(hf.Prio) {
+			return hf, true
+		}
+	}
+	return q.coldPeek()
+}
+
+// popHot drops the hot front, rewinding the window once it empties.
+func (q *TwoLevel) popHot() {
 	q.head++
 	if q.head == len(q.hot) {
 		q.hot = q.hot[:0]
 		q.head = 0
 	}
-	q.size--
-	return hf, true
 }
 
-// PopEx pops the global minimum and reports whether the hot buffer served
-// it. Unlike Pop it never promotes cold tasks into the hot buffer, so each
-// task's hot/cold provenance — what the simulator charges hardware vs
-// software cycles for — matches the paper's hPQ+spill composition exactly.
-func (q *TwoLevel) PopEx() (t task.Task, fromHot, ok bool) {
-	if q.size == 0 {
-		return task.Task{}, false, false
-	}
-	if q.head < len(q.hot) {
-		hf := q.hot[q.head]
-		if c, cok := q.coldPeek(); !cok || hf.Less(c) {
-			q.head++
-			if q.head == len(q.hot) {
-				q.hot = q.hot[:0]
-				q.head = 0
-			}
-			q.size--
-			return hf, true, true
-		}
-	}
-	q.size--
-	return q.coldPop(), false, true
-}
-
-// Peek returns the global minimum without removing it.
-func (q *TwoLevel) Peek() (task.Task, bool) {
-	if q.size == 0 {
-		return task.Task{}, false
-	}
-	c, cok := q.coldPeek()
-	if q.head < len(q.hot) {
-		hf := q.hot[q.head]
-		if !cok || hf.Less(c) {
-			return hf, true
-		}
-	}
-	return c, cok
-}
-
-// hotInsert places t into the sorted hot window. Caller guarantees the
-// window is below capacity. The backing array is twice HotCap, so the
-// pop-front/push-back traffic graph workloads emit — head advances, new
-// children land at the end — runs as plain appends with one bulk
-// compaction per HotCap-ish inserts, instead of a per-insert memmove the
-// moment the append slack runs out. Middle inserts shift whichever side
-// is cheaper: the prefix into the head gap left by pops, the suffix into
-// the append slack.
+// hotInsert places t into the Prio-sorted hot window, after any residents
+// of equal Prio. Caller guarantees the window is below capacity. The
+// backing array is twice HotCap, so the pop-front/push-back traffic graph
+// workloads emit — head advances, new children land at the end — runs as
+// plain appends with one bulk compaction per HotCap-ish inserts, instead of
+// a per-insert memmove the moment the append slack runs out. Middle inserts
+// shift whichever side is cheaper: the prefix into the head gap left by
+// pops, the suffix into the append slack.
 func (q *TwoLevel) hotInsert(t task.Task) {
 	live := q.hot[q.head:]
 	n := len(live)
-	if n == 0 || !t.Less(live[n-1]) {
-		// End insert: the hot case for monotone priority streams.
+	if n == 0 || t.Prio >= live[n-1].Prio {
+		// End insert: the hot case for monotone priority streams, and for
+		// every task of a wavefront sharing one Prio.
 		if len(q.hot) == cap(q.hot) {
 			copy(q.hot, live)
 			q.hot = q.hot[:n]
@@ -281,7 +277,7 @@ func (q *TwoLevel) hotInsert(t task.Task) {
 	lo, hi := 0, n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if t.Less(live[mid]) {
+		if t.Prio < live[mid].Prio {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -302,7 +298,7 @@ func (q *TwoLevel) hotInsert(t task.Task) {
 }
 
 // refill bulk-promotes up to HotCap cold minima into the empty hot buffer;
-// they pop off the cold store already sorted.
+// they leave the cold store in priority order.
 func (q *TwoLevel) refill() {
 	q.stats.Refills++
 	q.hot = q.hot[:0]
@@ -320,14 +316,13 @@ func (q *TwoLevel) coldPush(t task.Task) {
 		q.heap.Push(t)
 		return
 	}
-	qp := t.Prio >> q.shift
-	if q.cold.size > 0 && qp < q.cold.curQ {
+	if q.cold.size > 0 && t.Prio < q.cold.curQ {
 		q.stats.Rewinds++
 		q.rewindScore += rewindPenalty
 	} else if q.rewindScore > 0 {
 		q.rewindScore -= rewindForgive
 	}
-	if q.cold.push(t, qp) {
+	if q.cold.push(t) {
 		if q.rewindScore >= rewindStormScore {
 			q.fallBack()
 		}
@@ -339,22 +334,37 @@ func (q *TwoLevel) coldPush(t task.Task) {
 	q.heap.Push(t)
 }
 
-func (q *TwoLevel) coldPeek() (task.Task, bool) {
-	if q.cold.size > 0 {
-		return q.cold.peek(), true
+// coldBelow reports whether the cold store holds a task of Prio below p.
+// The cursor is a lower bound on the resident minimum, so the common case —
+// the hot front at or below the cursor — answers without a bitmap scan.
+func (q *TwoLevel) coldBelow(p int64) bool {
+	if q.heap != nil {
+		c, ok := q.heap.Peek()
+		return ok && c.Prio < p
 	}
+	if q.cold.size == 0 || q.cold.curQ >= p {
+		return false
+	}
+	q.cold.advance()
+	return q.cold.curQ < p
+}
+
+func (q *TwoLevel) coldPeek() (task.Task, bool) {
 	if q.heap != nil {
 		return q.heap.Peek()
+	}
+	if q.cold.size > 0 {
+		return q.cold.peek(), true
 	}
 	return task.Task{}, false
 }
 
 func (q *TwoLevel) coldPop() task.Task {
-	if q.cold.size > 0 {
-		return q.cold.pop()
+	if q.heap != nil {
+		t, _ := q.heap.Pop()
+		return t
 	}
-	t, _ := q.heap.Pop()
-	return t
+	return q.cold.pop()
 }
 
 // fallBack migrates the bucket ring's contents into a fresh d-ary heap and
@@ -365,38 +375,43 @@ func (q *TwoLevel) fallBack() {
 	q.stats.Fallbacks++
 	h := NewDHeap(q.arity, q.cold.size+64)
 	for i := range q.cold.buckets {
-		for _, t := range q.cold.buckets[i] {
+		b := &q.cold.buckets[i]
+		for _, t := range b.tasks[b.head:] {
 			h.Push(t)
 		}
 	}
-	q.cold.size = 0
-	q.cold.buckets = nil
-	q.cold.occ = nil
-	q.cold.free = nil
-	q.cold.arena = nil
+	q.cold = coldBuckets{}
 	q.heap = h
 }
 
+// bucket is one priority's FIFO: tasks[head:] are resident, in push order.
+// An empty bucket has head 0 and len(tasks) 0.
+type bucket struct {
+	tasks []task.Task
+	head  int
+}
+
 // coldBuckets is the monotone radix level: a power-of-two ring of
-// per-quantized-priority buckets, each kept as a binary mini-heap under
-// task.Less, plus an occupancy bitmap the scan cursor advances over.
+// per-priority FIFO buckets plus an occupancy bitmap the scan cursor
+// advances over. Buckets hold exactly one Prio each, so no comparison is
+// ever made inside one.
 //
-// Invariant: while size > 0, every resident quantized priority lies in
+// Invariant: while size > 0, every resident priority lies in
 // [curQ, curQ+W) with curQ <= the resident minimum and hiQ an upper bound
-// on the resident maximum — ring index q & (W-1) is then collision-free
+// on the resident maximum — ring index prio & (W-1) is then collision-free
 // (two's-complement AND handles negative priorities). A push stretching the
 // span doubles W up to maxW; beyond that push reports false and the caller
 // falls back to a comparison heap.
 type coldBuckets struct {
-	buckets [][]task.Task
+	buckets []bucket
 	occ     []uint64
 	// free recycles the storage of emptied buckets, and arena seeds fresh
-	// ones: new mini-heaps are carved bucketSeedCap entries at a time out of
-	// a shared slab, so filling the ring costs one allocation per
-	// slab-worth of buckets instead of one per bucket. Only a bucket that
-	// outgrows its seed capacity pays an append-grow of its own, which the
-	// freelist then keeps recycling. Together they take the bucket store's
-	// allocation count from O(distinct resident priorities) to O(slabs).
+	// ones: new buckets are carved bucketSeedCap entries at a time out of a
+	// shared slab, so filling the ring costs one allocation per slab-worth
+	// of buckets instead of one per bucket. Only a bucket that outgrows its
+	// seed capacity pays an append-grow of its own, which the freelist then
+	// keeps recycling. Together they take the bucket store's allocation
+	// count from O(distinct resident priorities) to O(slabs).
 	free  [][]task.Task
 	arena []task.Task
 	curQ  int64 // scan cursor: lower bound on the resident minimum
@@ -406,23 +421,24 @@ type coldBuckets struct {
 }
 
 func (c *coldBuckets) init(w, maxW int) {
-	c.buckets = make([][]task.Task, w)
+	c.buckets = make([]bucket, w)
 	c.occ = make([]uint64, w/64)
 	c.maxW = maxW
 }
 
-// push inserts t under quantized priority qp, growing the ring if the
-// resident span demands it. False means the span cannot fit at maxW.
-func (c *coldBuckets) push(t task.Task, qp int64) bool {
+// push appends t to its priority's bucket, growing the ring if the resident
+// span demands it. False means the span cannot fit at maxW.
+func (c *coldBuckets) push(t task.Task) bool {
+	p := t.Prio
 	if c.size == 0 {
-		c.curQ, c.hiQ = qp, qp
+		c.curQ, c.hiQ = p, p
 	} else {
 		lo, hi := c.curQ, c.hiQ
-		if qp < lo {
-			lo = qp
+		if p < lo {
+			lo = p
 		}
-		if qp > hi {
-			hi = qp
+		if p > hi {
+			hi = p
 		}
 		for uint64(hi-lo) >= uint64(len(c.buckets)) {
 			if len(c.buckets)*2 > c.maxW {
@@ -432,24 +448,31 @@ func (c *coldBuckets) push(t task.Task, qp int64) bool {
 		}
 		c.curQ, c.hiQ = lo, hi
 	}
-	w := len(c.buckets)
-	idx := int(qp & int64(w-1))
-	b := c.buckets[idx]
-	if b == nil {
+	idx := int(p & int64(len(c.buckets)-1))
+	b := &c.buckets[idx]
+	switch {
+	case b.tasks == nil:
 		if n := len(c.free); n > 0 {
-			b = c.free[n-1]
+			b.tasks = c.free[n-1]
 			c.free = c.free[:n-1]
 		} else {
 			if len(c.arena) < bucketSeedCap {
 				c.arena = make([]task.Task, bucketSlabLen)
 			}
-			b = c.arena[:0:bucketSeedCap]
+			b.tasks = c.arena[:0:bucketSeedCap]
 			c.arena = c.arena[bucketSeedCap:]
 		}
+	case len(b.tasks) == cap(b.tasks) && 2*b.head >= len(b.tasks):
+		// Pushed to while it drains: once at least half the slice is
+		// popped-over prefix, slide the live tail down instead of growing.
+		// Each slide moves no more tasks than were popped since the last,
+		// and a steady stream keeps cap within a small multiple of the
+		// bucket's live length.
+		n := copy(b.tasks, b.tasks[b.head:])
+		b.tasks = b.tasks[:n]
+		b.head = 0
 	}
-	b = append(b, t)
-	siftUpTasks(b)
-	c.buckets[idx] = b
+	b.tasks = append(b.tasks, t)
 	c.occ[idx>>6] |= 1 << uint(idx&63)
 	c.size++
 	return true
@@ -462,18 +485,18 @@ func (c *coldBuckets) push(t task.Task, qp int64) bool {
 func (c *coldBuckets) grow() {
 	oldW := len(c.buckets)
 	newW := oldW * 2
-	nb := make([][]task.Task, newW)
+	nb := make([]bucket, newW)
 	nocc := make([]uint64, newW/64)
 	if c.size > 0 {
 		baseIdx := int(c.curQ & int64(oldW-1))
 		for step := 0; step < oldW; step++ {
 			idx := (baseIdx + step) & (oldW - 1)
 			b := c.buckets[idx]
-			if len(b) == 0 {
+			if len(b.tasks) == 0 {
 				// Parked capacity has no index in the wider ring yet;
 				// salvage it through the freelist.
-				if cap(b) > 0 && len(c.free) < bucketFreeMax {
-					c.free = append(c.free, b)
+				if cap(b.tasks) > 0 && len(c.free) < bucketFreeMax {
+					c.free = append(c.free, b.tasks)
 				}
 				continue
 			}
@@ -505,74 +528,34 @@ func (c *coldBuckets) advance() {
 	}
 }
 
-// peek returns the minimum resident task. Caller guarantees size > 0.
+// peek returns the oldest task of the minimum resident priority. Caller
+// guarantees size > 0.
 func (c *coldBuckets) peek() task.Task {
 	c.advance()
-	return c.buckets[int(c.curQ&int64(len(c.buckets)-1))][0]
+	b := &c.buckets[int(c.curQ&int64(len(c.buckets)-1))]
+	return b.tasks[b.head]
 }
 
-// pop removes and returns the minimum resident task. Caller guarantees
-// size > 0.
+// pop removes and returns the oldest task of the minimum resident priority.
+// Caller guarantees size > 0.
 func (c *coldBuckets) pop() task.Task {
 	c.advance()
 	idx := int(c.curQ & int64(len(c.buckets)-1))
-	b := c.buckets[idx]
-	t := b[0]
-	n := len(b) - 1
-	b[0] = b[n]
-	b = b[:n]
-	if n > 0 {
-		if n > 1 {
-			siftDownTasks(b)
-		}
-		c.buckets[idx] = b
-	} else {
+	b := &c.buckets[idx]
+	t := b.tasks[b.head]
+	b.head++
+	c.size--
+	if b.head == len(b.tasks) {
 		// Drained: big slices chase the frontier via the freelist, small
 		// ones wait in place for a priority to wrap back onto this index.
-		if cap(b) >= bucketBigCap && len(c.free) < bucketFreeMax {
-			c.buckets[idx] = nil
-			c.free = append(c.free, b)
+		b.head = 0
+		if cap(b.tasks) >= bucketBigCap && len(c.free) < bucketFreeMax {
+			c.free = append(c.free, b.tasks[:0])
+			b.tasks = nil
 		} else {
-			c.buckets[idx] = b
+			b.tasks = b.tasks[:0]
 		}
 		c.occ[idx>>6] &^= 1 << uint(idx&63)
 	}
-	c.size--
 	return t
-}
-
-// siftUpTasks restores the binary-min-heap property of b after its last
-// element was appended.
-func siftUpTasks(b []task.Task) {
-	i := len(b) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !b[i].Less(b[p]) {
-			return
-		}
-		b[i], b[p] = b[p], b[i]
-		i = p
-	}
-}
-
-// siftDownTasks restores the binary-min-heap property of b after its root
-// was replaced.
-func siftDownTasks(b []task.Task) {
-	n := len(b)
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && b[l].Less(b[least]) {
-			least = l
-		}
-		if r < n && b[r].Less(b[least]) {
-			least = r
-		}
-		if least == i {
-			return
-		}
-		b[i], b[least] = b[least], b[i]
-		i = least
-	}
 }

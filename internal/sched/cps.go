@@ -156,11 +156,14 @@ func bagPayloadAddr(owner int, id uint64) uint64 {
 type cpsCore struct {
 	// Exactly one of swq/tl backs the core's priority queue: swq when the
 	// machine has no hPQ, tl (the two-level hot-buffer + cold-store shape,
-	// hot capacity = HPQSize) when it does. The two-level hot buffer
-	// reproduces pq.Bounded's residency semantics, so tl replaces the old
-	// hpq+swq composition with identical task ordering; the cost model
+	// hot capacity = HPQSize) when it does. The hot buffer keeps the
+	// HPQSize lowest resident priorities, as pq.Bounded does, but decides
+	// residency on Prio alone: a task tying the worst resident spills
+	// instead of displacing it, and a hot/cold tie pops from hot. tl thus
+	// replaces the old hpq+swq composition with the same priority sequence
+	// (equal-Prio tasks may come out in a different order); the cost model
 	// still charges the hPQ access for hot traffic and the software PQ for
-	// cold traffic.
+	// cold traffic — the same structure the native runtime runs.
 	swq    *pq.BinaryHeap
 	tl     *pq.TwoLevel
 	in     []inEntry // software receive queue (unbounded backing store)
@@ -366,9 +369,10 @@ func (h *cpsHandler) Ready(m *sim.Machine, core int) (int64, bool) {
 // dequeue pops the best task across the hardware and software queues.
 func (h *cpsHandler) dequeue(c *cpsCore) (task.Task, bool, bool) {
 	if c.tl != nil {
-		// PopEx compares the hot front against the cold minimum without
-		// refilling, preserving each pop's hardware/software provenance for
-		// chargeDequeue — exactly the old hpq-vs-swq peek race.
+		// PopEx compares the hot front's Prio against the cold minimum's
+		// without refilling (hot wins a tie), preserving each pop's
+		// hardware/software provenance for chargeDequeue — the old
+		// hpq-vs-swq peek race, decided on priority.
 		return c.tl.PopEx()
 	}
 	t, ok := c.swq.Pop()
@@ -430,8 +434,9 @@ func (h *cpsHandler) drain(m *sim.Machine, core int) int64 {
 // queue, preferring the hardware queue when present, and returns the cost.
 func (h *cpsHandler) insertLocal(c *cpsCore, t task.Task) int64 {
 	if c.tl != nil {
-		// PushEx applies Bounded's residency rule (insert into the hot
-		// buffer, demoting its worst to the cold store when full); the
+		// PushEx applies the hPQ residency rule on Prio (insert into the
+		// hot buffer; when full, demote its worst to the cold store only
+		// for a strictly lower Prio, else spill the newcomer); the
 		// rebalance is asynchronous (§III-D), so only the hPQ access is
 		// charged.
 		c.tl.PushEx(t)
