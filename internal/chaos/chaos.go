@@ -53,7 +53,9 @@ type Config struct {
 	// from the batch is re-submitted through the engine (message
 	// duplication). Duplicates enter the conservation ledger as submissions,
 	// so the no-loss invariant stays exact; workloads tolerate duplicated
-	// tasks by contract. Requires BindResubmit (chaos.Engine wires it).
+	// tasks by contract. Bag metadata is never duplicated (the draw that
+	// lands on one injects nothing; see runtime.IsBagMarker). Requires
+	// BindResubmit (chaos.Engine wires it).
 	Duplicate float64
 	// Reorder is the probability that a drained Recv batch is shuffled
 	// before delivery (priority-order perturbation).
@@ -320,9 +322,12 @@ func (ct *Transport) Recv(id int, dst []task.Task) []task.Task {
 		// Through Submit, not the ring: the duplicate becomes a counted
 		// submission, keeping the conservation ledger exact. A duplicate
 		// racing Stop may be refused (ErrStopped) — that is fine, it never
-		// entered the ledger.
-		if err := ct.resubmit(dup); err == nil {
-			ct.stats.Duplicates.Add(1)
+		// entered the ledger. A bag marker is skipped: its payload slot is
+		// consumed exactly once, and a copy would reopen it after release.
+		if !runtime.IsBagMarker(dup) {
+			if err := ct.resubmit(dup); err == nil {
+				ct.stats.Duplicates.Add(1)
+			}
 		}
 	}
 	return dst

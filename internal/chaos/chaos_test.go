@@ -114,6 +114,37 @@ func TestTransportDeterministicDecisions(t *testing.T) {
 	}
 }
 
+// Duplication never copies bag metadata: a bag marker names a payload slot
+// its one consumer releases for reuse, so a duplicate would reopen the slot
+// and double-process or lose what it holds by then. Plain tasks still are
+// duplicated at the configured rate.
+func TestTransportNeverDuplicatesBagMarkers(t *testing.T) {
+	run := func(node graph.NodeID) (delivered, resubmitted int, dups int64) {
+		inner := runtime.NewDefaultTransport(runtime.Config{Workers: 2, RingSize: 64})
+		ct := Wrap(inner, 2, Config{Seed: 5, Duplicate: 1})
+		ct.BindResubmit(func(ts ...task.Task) error {
+			resubmitted += len(ts)
+			return nil
+		})
+		for i := 0; i < 100; i++ {
+			ct.Send(0, 1, task.Task{Node: node, Data: uint64(i)})
+			ct.Flush(0)
+			delivered += len(ct.Recv(1, nil))
+		}
+		return delivered, resubmitted, ct.Stats().Duplicates.Load()
+	}
+	marker := task.Task{Node: ^graph.NodeID(0)}
+	if !runtime.IsBagMarker(marker) {
+		t.Fatal("runtime.IsBagMarker does not recognize the bag marker node")
+	}
+	if d, r, n := run(marker.Node); d != 100 || r != 0 || n != 0 {
+		t.Fatalf("bag markers: delivered %d, resubmitted %d, Duplicates %d; want 100, 0, 0", d, r, n)
+	}
+	if d, r, n := run(7); d != 100 || r != 100 || n != 100 {
+		t.Fatalf("plain tasks at dup=1: delivered %d, resubmitted %d, Duplicates %d; want 100, 100, 100", d, r, n)
+	}
+}
+
 // Checker.Quiescent flags a fabricated ledger hole, and Live flags
 // backwards counters — the harness can actually detect violations.
 func TestCheckerDetectsViolations(t *testing.T) {

@@ -14,6 +14,8 @@ package runtime
 // deposits weight*drrQuantum into the job's balance, each retired task
 // (bag contents included) withdraws one — which is what makes per-job task
 // shares track weight shares independently of per-task cost or bagging.
+// Backlog sharing (balanceJobs, engine.go) keeps every worker holding some
+// of every backlogged job, so the per-worker shares add up fleet-wide.
 //
 // Per-job ledger. Each jobState carries the same conservation equation the
 // engine proves globally, extended by the cancellation sink:

@@ -133,6 +133,72 @@ func TestJobWeightedFairness(t *testing.T) {
 	}
 }
 
+// TestJobBacklogSharing pins the fleet-wide half of the job scheduler: a
+// worker holding none of a backlogged tenant asks a peer for part of its
+// queue (balanceJobs/shareBacklog), so per-worker DRR can serve every
+// tenant everywhere. Every task is seeded on worker 0 and the workload
+// spawns nothing, so any task worker 1 processes was shared with it. A
+// single-tenant engine never shares: there the split stays whatever
+// seeding and TDF made it.
+func TestJobBacklogSharing(t *testing.T) {
+	leaf := func(tk task.Task, emit func(task.Task)) int { return 1 }
+	for _, tc := range []struct {
+		name  string
+		jobs  int
+		share bool
+	}{
+		{"one-tenant", 1, false},
+		{"two-tenants", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const perJob = 50_000
+			e := NewEngine(&fnWorkload{fn: leaf}, Config{Workers: 2, Seed: 7})
+			for i := 1; i < tc.jobs; i++ {
+				if _, err := e.NewJob(&fnWorkload{fn: leaf}, JobConfig{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Seed every task onto worker 0, with the ledger entries a
+			// pre-start Submit makes (submitIdle), before any worker runs.
+			for _, js := range *e.jobs.Load() {
+				ts := seedTasks(perJob)
+				js.submitted.Add(perJob)
+				js.outstanding.Add(perJob)
+				e.submitted.Add(perJob)
+				e.outstanding.Add(perJob)
+				for _, tk := range ts {
+					tk.Job = js.id
+					e.push(&e.workers[0], tk)
+				}
+			}
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			if err := e.Drain(ctx); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			s := e.Snapshot()
+			checkLedger(t, s)
+			checkJobLedgers(t, s)
+			if want := int64(tc.jobs * perJob); s.TasksProcessed != want {
+				t.Fatalf("processed %d tasks, want %d", s.TasksProcessed, want)
+			}
+			got := s.Workers[1].Processed
+			if tc.share && got == 0 {
+				t.Errorf("worker 1 processed no task: nothing was shared (workers %+v)", s.Workers)
+			}
+			if !tc.share && got != 0 {
+				t.Errorf("worker 1 processed %d tasks of a single tenant seeded on worker 0", got)
+			}
+			if err := e.Stop(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // checkJobLedgers asserts every per-job conservation row and that the rows
 // partition the global ledger.
 func checkJobLedgers(t *testing.T, s Snapshot) {
