@@ -44,10 +44,12 @@ race:
 # multi-tenant mixes (mid-drain job cancellation and quota saturation with
 # neighbours running), each asserting the global ledger, every per-job
 # ledger, and the partition identity at every quiescent checkpoint. Seeds
-# are fixed, so a failure reproduces. Set CHAOS_SOAK=1 (the nightly knob)
-# for longer soaks on bigger graphs.
+# are fixed, so a failure reproduces. -cpu 1,2,4 runs every soak at three
+# GOMAXPROCS settings, so the worker-local ledger accounting is proven with
+# workers sharing one P, fewer Ps than workers, and one P per worker. Set
+# CHAOS_SOAK=1 (the nightly knob) for longer soaks on bigger graphs.
 chaos:
-	$(GO) test -race -count=1 -run 'TestSoak|TestEnginePanic|TestEngineRetry|TestEngineQuarantine|TestEngineDrain|TestEngineOverflow' \
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'TestSoak|TestEnginePanic|TestEngineRetry|TestEngineQuarantine|TestEngineDrain|TestEngineOverflow' \
 		./internal/chaos/ ./internal/runtime/
 
 # Serve-chaos tier: the network-boundary soaks under the race detector — a

@@ -1,8 +1,8 @@
 // Package pq provides the priority-queue substrates used by the schedulers:
-// a binary heap (the per-core software PQ of RELD and HD-CPS), a bucket
-// queue (the bag-map index of OBIM/PMOD and sequential delta-stepping), a
-// pairing heap (meldable alternative, used by ablation benches), and a small
-// bounded heap modeling the paper's hardware priority queue (hPQ).
+// a binary heap (the per-core software PQ of RELD and HD-CPS) and its d-ary
+// variant, the two-level hot-buffer/bucket queue, the relaxed MultiQueue,
+// and a small bounded heap modeling the paper's hardware priority queue
+// (hPQ), which the two-level queue's tests use as their oracle.
 //
 // All queues are min-queues over task.Task: Pop returns the task with the
 // numerically smallest Prio. None of them is safe for concurrent use; the

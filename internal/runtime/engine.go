@@ -12,15 +12,17 @@ package runtime
 // (control.go).
 //
 // Termination protocol (epoch-aware): every task in the system is counted
-// in `outstanding`, and the count for a task's children is added before any
-// child becomes visible to another worker, so outstanding can never dip to
-// zero while work exists. A worker that finds outstanding == 0 does not
-// exit — it parks on the fleet's condition variable. Submit increments
-// outstanding, publishes the tasks through the transport, advances the
-// submission epoch, and broadcasts; because the parked worker re-checks
-// outstanding under the same lock the broadcast takes, a Submit can never
-// slip between the check and the wait (no lost wakeup). Stop sets the stop
-// flag and broadcasts, which is the only way a parked worker exits.
+// in `outstanding`, and a task's children are covered — by the spawning
+// worker's deferred retirements or by a reserve it added ahead of time (see
+// worker.acct) — before any child becomes visible to another worker, so
+// outstanding can never dip to zero while work exists. A worker that finds
+// outstanding == 0 does not exit — it parks on the fleet's condition
+// variable. Submit increments outstanding, publishes the tasks through the
+// transport, advances the submission epoch, and broadcasts; because the
+// parked worker re-checks outstanding under the same lock the broadcast
+// takes, a Submit can never slip between the check and the wait (no lost
+// wakeup). Stop sets the stop flag and broadcasts, which is the only way a
+// parked worker exits.
 
 import (
 	"context"
@@ -140,8 +142,8 @@ type worker struct {
 	act    []*workerJQ
 	actPos int
 	cur    *workerJQ
-	// dirtyJQ is the set of job queues holding unflushed ledger deltas,
-	// drained at batch boundaries (flushBatchAccts).
+	// dirtyJQ is the set of job queues holding unsettled ledger deltas,
+	// drained by the settle (flushBatchAccts).
 	dirtyJQ []*workerJQ
 	// nJobs is how many entries of the engine's job table this worker has
 	// registered (multiqueue only: shared structures make job activation
@@ -164,7 +166,10 @@ type worker struct {
 	balanceJob  int
 	balanceNext int
 
-	rng *graph.RNG
+	// rng is held by value: each worker's generator state lives in its own
+	// (padded) worker slot, not in an 8-byte heap object that would share a
+	// cache line with a peer's and bounce on every dispatch draw.
+	rng graph.RNG
 
 	// batch is the dequeue batch (Config.BatchK): the loop pops up to
 	// len(batch) tasks and processes them back to back, prefetching the
@@ -218,13 +223,20 @@ type worker struct {
 	rankErrSum  int64
 	rankErrMax  int64
 
-	// acct accumulates this worker's pending retirement decrements (-1 per
-	// childless task or unpacked bag) between batch boundaries, where they
-	// flush into the shared outstanding count as one atomic add. Deferring
-	// only the negative side keeps the termination invariant: outstanding
-	// reads high, never falsely zero, while work exists. runWorker's exit
-	// path flushes it, so a panic cannot strand the count.
+	// acct is this worker's unsettled delta to the shared outstanding count:
+	// -1 per retired task or unpacked bag, +spawned for each task's children.
+	// It stays negative whenever the worker holds unpublished ledger terms:
+	// a spawn that would lift it to zero or above first tops the shared
+	// count up by the excess plus a reserve of FlushInterval tasks and
+	// leaves acct at -reserve, so children are always covered before they
+	// become visible and outstanding reads high, never falsely zero. The
+	// settle (flushBatchAccts) applies it, reserve included, once per
+	// FlushInterval processed tasks, before the worker idles, and on exit,
+	// so a panic cannot strand the count.
 	acct int64
+	// settledAt is processed as of the last settle; the loop settles again
+	// once FlushInterval more tasks have been processed.
+	settledAt int64
 
 	// parked is set while the worker blocks in the park/wake handshake
 	// (StallError diagnostics read it).
@@ -327,7 +339,7 @@ func (me *worker) syncJobs(e *Engine) {
 }
 
 // markDirty queues a job queue's deferred ledger deltas for the next
-// batch-boundary flush.
+// settle.
 func (me *worker) markDirty(q *workerJQ) {
 	if !q.dirty {
 		q.dirty = true
@@ -421,7 +433,7 @@ func NewEngine(w workload.Workload, cfg Config) *Engine {
 		me.id = i
 		me.eng = e
 		me.mqKind = cfg.Queue == nil && cfg.QueueKind == QueueMultiQueue
-		me.rng = graph.NewRNG(cfg.Seed + uint64(i)*0x9e3779b9)
+		me.rng = *graph.NewRNG(cfg.Seed + uint64(i)*0x9e3779b9)
 		me.batch = make([]task.Task, cfg.BatchK)
 		me.children = make([]task.Task, 0, 16)
 		// One closure for the whole engine, so Process calls do not allocate
@@ -778,9 +790,10 @@ func (e *Engine) park(me *worker) bool {
 	return !e.stop.Load()
 }
 
-// account adjusts the outstanding-task count and signals quiescence when it
-// reaches zero. Positive deltas (new children) are added before the tasks
-// are published, so a zero here always means a truly quiescent system.
+// account applies a settled (non-positive) delta to the outstanding-task
+// count and signals quiescence when it reaches zero. Children are covered
+// before they are published (worker.acct), so a zero here always means a
+// truly quiescent system.
 func (e *Engine) account(delta int64) {
 	if e.outstanding.Add(delta) == 0 {
 		select {
@@ -868,7 +881,7 @@ func (e *Engine) push(me *worker, t task.Task) {
 // discard retires one unit of a cancelled job without executing it: a plain
 // task counts one cancellation; a bag marker resolves its payload, counts
 // every payload task as cancelled, and retires the bag itself. The ledger
-// deltas are deferred to the batch boundary exactly like processing's
+// deltas are deferred to the next settle exactly like processing's
 // (flushBatchAccts preserves the retirement-before-outstanding order).
 func (e *Engine) discard(me *worker, q *workerJQ, t task.Task) {
 	if t.Node == bagMarker {
@@ -1030,17 +1043,18 @@ func (e *Engine) runWorker(id int) {
 				q.dBagsRetired++
 				q.dOut--
 				me.markDirty(q)
-				me.acct-- // the bag itself; flushed at the batch boundary
+				me.acct-- // the bag itself; applied at the next settle
 			} else {
 				e.processOne(id, me, q, t)
 			}
 		}
 		me.batchLen = 0
-		// Flush the batch's accumulated retirements in one shared atomic per
-		// counter — the batched loop's other throughput lever besides the
-		// prefetch: up to BatchK childless tasks retire for the price of one
-		// outstanding.Add (and one pubProcessed store) instead of one each.
-		e.flushBatchAccts(me)
+		// Settle the ledgers once per FlushInterval processed tasks rather
+		// than per task or per batch: every retirement and spawn since the
+		// last settle lands in one shared atomic per counter.
+		if me.processed-me.settledAt >= int64(e.cfg.FlushInterval) {
+			e.flushBatchAccts(me)
+		}
 
 		if r := me.shareReq.Load(); r != 0 {
 			e.shareBacklog(me, r)
@@ -1280,18 +1294,25 @@ func (e *Engine) drainCancelled(me *worker, q *workerJQ) {
 	}
 }
 
-// flushBatchAccts settles the batch's deferred retirement deltas: per-job
-// ledger terms first (retirements before the job's outstanding drop), then
-// the worker's published totals, then the global outstanding adjustment —
-// so any reader that observes a count transition already sees every ledger
-// term explaining it, per job and globally.
+// flushBatchAccts settles the worker's deferred ledger deltas, spawn
+// reserves included: per-job ledger terms first (spawns and retirements
+// before the job's outstanding drop), then the worker's published totals,
+// then the global outstanding adjustment — so any reader that observes a
+// count transition already sees every ledger term explaining it, per job and
+// globally.
 func (e *Engine) flushBatchAccts(me *worker) {
+	me.settledAt = me.processed
 	if len(me.dirtyJQ) > 0 {
 		me.pubProcessed.Store(me.processed)
+		me.pubSpawned.Store(me.spawned)
 		me.pubBagsRetired.Store(me.bagsRetired)
 		me.pubCancelled.Store(me.cancelled)
 		for _, q := range me.dirtyJQ {
 			js := q.js
+			if q.dSpawned != 0 {
+				js.spawned.Add(q.dSpawned)
+				q.dSpawned = 0
+			}
 			if q.dProcessed != 0 {
 				js.processed.Add(q.dProcessed)
 				q.dProcessed = 0
@@ -1467,15 +1488,15 @@ func (e *Engine) processOne(id int, me *worker, q *workerJQ, t task.Task) {
 		e.obs.TaskSample(id, t.Prio, me.processed, me.edges)
 	}
 
-	// Account all new work, retire this task, and settle any batch-deferred
-	// retirements in one shared atomic; the increment lands before any child
-	// becomes visible, so outstanding can never dip to zero while work
-	// exists (the deferred deltas are all negative, and the children being
-	// added here keep the post-add count strictly positive). The spawned
-	// total is published first so the conservation ledger's add side is
-	// never behind the outstanding count it explains — per job first, then
-	// globally. A childless task just deepens the batch deficit — no atomic
-	// at all.
+	// Spawn credit: the children are netted against this worker's unsettled
+	// retirements (or the reserve of an earlier top-up), per job in dOut and
+	// globally in acct, and every ledger term waits for the next settle. A
+	// delta must stay negative while it holds unpublished terms — that is
+	// what keeps outstanding high, never falsely zero, and the ledgers exact
+	// at quiescence — so a spawn that would lift one to zero or above first
+	// tops its shared count up by the excess plus a FlushInterval reserve.
+	// The top-up lands before any child becomes visible. A childless task
+	// just deepens the deficit — no atomic at all.
 	if len(me.children) > 0 {
 		// Children inherit the parent's tenant: identity flows with the
 		// work, so every spawned task is billed to the job that created it.
@@ -1484,18 +1505,17 @@ func (e *Engine) processOne(id int, me *worker, q *workerJQ, t task.Task) {
 		}
 		bags, singles := me.part.Partition(me.children, e.cfg.Bags, me.newBagID)
 		spawned := int64(len(bags)) + int64(countTasks(bags)) + int64(len(singles))
+		reserve := int64(e.cfg.FlushInterval)
 		me.spawned += spawned
-		me.pubSpawned.Store(me.spawned)
-		js.spawned.Add(spawned)
-		js.outstanding.Add(spawned)
-		// Publish the processed total BEFORE any task can leave
-		// `outstanding`: a reader that sees a retirement also sees the
-		// count (Snapshot's coherence contract). Retirement is only
-		// observable at account() calls, so the batched loop pays this
-		// store once per spawning task and once per batch, not per task.
-		me.pubProcessed.Store(me.processed)
-		e.account(spawned - 1 + me.acct)
-		me.acct = 0
+		q.dSpawned += spawned
+		if q.dOut += spawned; q.dOut >= 0 {
+			js.outstanding.Add(q.dOut + reserve)
+			q.dOut = -reserve
+		}
+		if me.acct += spawned - 1; me.acct >= 0 {
+			e.outstanding.Add(me.acct + reserve)
+			me.acct = -reserve
+		}
 		for _, b := range bags {
 			me.bags++
 			s := me.store.get(uint32(b.ID))
@@ -1546,8 +1566,15 @@ func (e *Engine) dispatch(id int, me *worker, js *jobState, t task.Task) {
 				tdf = 100
 			}
 		}
-		if int64(me.rng.Uint32n(100)) < tdf {
-			d := int(me.rng.Uint32n(uint32(n - 1)))
+		// One draw per unit: the high half decides the TDF coin, the low
+		// half picks the peer (multiply-shift, no division), and with two
+		// workers the only peer needs no pick at all.
+		r := me.rng.Uint64()
+		if int64((r>>32)*100>>32) < tdf {
+			d := 0
+			if n > 2 {
+				d = int(uint64(uint32(r)) * uint64(n-1) >> 32)
+			}
 			if d >= id {
 				d++
 			}
@@ -1581,12 +1608,15 @@ type WorkerStats struct {
 //
 // and once Drain has returned (Outstanding == 0 with no concurrent Submit),
 // TasksProcessed is exact — a mid-drain snapshot can no longer under-count
-// retired work. The remaining counters (Bags, EdgesExamined, spills, parks)
-// are published at flush/park/idle boundaries and may lag by at most one
-// flush interval.
+// retired work. Workers settle their ledgers once per flush interval, so
+// mid-run Outstanding reads high, by up to about two flush intervals of
+// tasks per worker (a spawn reserve plus retirements not yet settled), and
+// the ledger terms lag by up to one interval; all are exact at quiescence.
+// The remaining counters (Bags, EdgesExamined, spills, parks) are published
+// at flush/park/idle boundaries and may lag by at most one flush interval.
 type Snapshot struct {
 	Epoch       uint64 // Submit calls so far
-	Outstanding int64  // tasks submitted or spawned but not yet retired
+	Outstanding int64  // tasks submitted or spawned but not yet retired (reads high mid-run)
 	TDF         int    // current task-distribution factor (percent)
 
 	TasksProcessed int64

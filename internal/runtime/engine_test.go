@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hdcps/internal/graph"
+	"hdcps/internal/task"
 	"hdcps/internal/workload"
 )
 
@@ -300,5 +302,95 @@ func TestEngineLifecycleErrors(t *testing.T) {
 	}
 	if err := e2.Submit(w.InitialTasks()...); err != ErrStopped {
 		t.Fatalf("Submit on stopped engine = %v, want ErrStopped", err)
+	}
+}
+
+// fanWorkload is a bounded fan-out tree: every task above depth emits fanout
+// children one level down (Node carries the level). Deeper tasks rank
+// first, so the tree runs depth-first and children — often on a peer —
+// retire while their parent's siblings still wait. check, when set, runs
+// inside Process, while the task itself still counts as outstanding.
+type fanWorkload struct {
+	fanout, depth int
+	check         func(task.Task)
+}
+
+func (w *fanWorkload) Name() string              { return "fan" }
+func (w *fanWorkload) Graph() *graph.CSR         { return nil }
+func (w *fanWorkload) Reset()                    {}
+func (w *fanWorkload) InitialTasks() []task.Task { return nil }
+func (w *fanWorkload) Clone() workload.Workload  { return w }
+func (w *fanWorkload) Verify() error             { return nil }
+
+func (w *fanWorkload) Process(t task.Task, emit func(task.Task)) int {
+	if w.check != nil {
+		w.check(t)
+	}
+	if int(t.Node) < w.depth {
+		for i := 0; i < w.fanout; i++ {
+			emit(task.Task{Node: t.Node + 1, Prio: -int64(t.Node) - 1})
+		}
+	}
+	return 1
+}
+
+// TestOutstandingCoversRunningTasks pins the termination invariant under
+// spawn credit: a running task is outstanding, so while its Process runs
+// both the engine's and its job's outstanding counts must read at least 1 —
+// even when every task spawns more children than a settle interval's
+// reserve covers, which forces the worker to top the shared counts up
+// before the children become visible.
+func TestOutstandingCoversRunningTasks(t *testing.T) {
+	const flush = 32
+	for _, kind := range QueueKinds() {
+		t.Run(kind, func(t *testing.T) {
+			var e *Engine
+			var jobs [2]*Job
+			var checked, engineLow, jobLow atomic.Int64
+			w := &fanWorkload{fanout: flush + 8, depth: 2, check: func(tk task.Task) {
+				checked.Add(1)
+				if e.Outstanding() < 1 {
+					engineLow.Add(1)
+				}
+				if jobs[tk.Job].Snapshot().Outstanding < 1 {
+					jobLow.Add(1)
+				}
+			}}
+			e = NewEngine(w, Config{Workers: 4, QueueKind: kind, FlushInterval: flush})
+			jobs[0] = e.DefaultJob()
+			var err error
+			if jobs[1], err = e.NewJob(w, JobConfig{Name: "second"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
+			}
+			ctx := testCtx(t)
+			for round := 0; round < 10; round++ {
+				for _, j := range jobs {
+					if err := j.Submit(make([]task.Task, 1)...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := e.Drain(ctx); err != nil {
+					t.Fatal(err)
+				}
+				checkLedger(t, e.Snapshot())
+				checkJobLedgers(t, e.Snapshot())
+			}
+			if err := e.Stop(ctx); err != nil {
+				t.Fatal(err)
+			}
+			// 10 rounds x 2 jobs x one root, each a tree of 1 + 40 + 40^2 tasks.
+			if got, want := checked.Load(), int64(10*2*(1+40+40*40)); got != want {
+				t.Fatalf("checked %d running tasks, want %d", got, want)
+			}
+			if n := engineLow.Load(); n > 0 {
+				t.Errorf("%d running tasks saw Engine.Outstanding() < 1", n)
+			}
+			if n := jobLow.Load(); n > 0 {
+				t.Errorf("%d running tasks saw their job's outstanding < 1", n)
+			}
+		})
 	}
 }

@@ -22,10 +22,11 @@ package runtime
 //
 //	Submitted + Spawned == Processed + BagsRetired + Quarantined + Cancelled + Outstanding
 //
-// with the same publication ordering: every retirement term is stored before
-// the job's outstanding count drops, and every addition lands before the
-// work becomes visible, so at per-job quiescence (Outstanding == 0) the
-// job's ledger is exact. The chaos Checker asserts both the per-job ledgers
+// with the same publication ordering: every ledger term is stored before
+// the job's outstanding count drops, and every child is covered in the
+// count (by deferred retirements or a spawn reserve) before it becomes
+// visible, so at per-job quiescence (Outstanding == 0) the job's ledger is
+// exact. The chaos Checker asserts both the per-job ledgers
 // and that their sums equal the global ledger.
 
 import (
@@ -62,7 +63,10 @@ type JobConfig struct {
 	// job's outstanding task count past it is rejected whole with a
 	// *QuotaError (no partial admission). 0 means unlimited. Spawned
 	// children are not quota-checked — admission controls entry, not
-	// amplification.
+	// amplification. Admission sees the same count as JobStats.Outstanding,
+	// which reads high while the job runs (workers settle once per flush
+	// interval), so a running job may be refused slightly early; a drained
+	// job's count is exact.
 	MaxOutstanding int64
 	// TDFBias scales the global TDF for this job's dispatch decisions, in
 	// percent (100 = neutral, 50 = scatter half as often, 200 = twice as
@@ -96,8 +100,8 @@ type jobState struct {
 	cancelled atomic.Bool
 
 	// The per-job conservation ledger. Outstanding follows the global
-	// count's ordering contract: incremented before the work is visible,
-	// decremented only after the matching retirement term is stored.
+	// count's ordering contract: it covers work before the work is visible,
+	// and drops only after the matching ledger terms are stored.
 	submitted      atomic.Int64
 	spawned        atomic.Int64
 	processed      atomic.Int64
@@ -197,6 +201,11 @@ func (js *jobState) stats() JobStats {
 // (Outstanding == 0 with no concurrent Submit to this job):
 //
 //	Submitted + Spawned == Processed + BagsRetired + Quarantined + CancelledTasks
+//
+// Mid-run, Outstanding may read high by up to about two flush intervals of
+// tasks per worker serving the job (a spawn reserve plus retirements not yet
+// settled), and the ledger terms lag by up to one interval; both are exact
+// at quiescence.
 type JobStats struct {
 	Job       task.JobID
 	Name      string

@@ -369,6 +369,52 @@ func TestJobScopedDrain(t *testing.T) {
 	_ = e.Stop(context.Background())
 }
 
+// TestJobDrainNotHeldByBusyTenant pins that a worker's spawn reserve for a
+// job is released on the settle cadence, not only when the worker idles: a
+// small fan-out tenant's Drain must return while a closed-loop tenant keeps
+// every worker busy and still has work outstanding. Both tenants scale the
+// fixed 1% TDF by a 1% bias to an effective 0, so every child stays on its
+// parent's worker and no worker runs dry waiting on a peer's buffers.
+func TestJobDrainNotHeldByBusyTenant(t *testing.T) {
+	storm := &steadyWorkload{}
+	local := JobConfig{Name: "storm", TDFBias: 1}
+	e := NewEngine(storm, Config{Workers: 4, FixedTDF: 1, DefaultJob: local})
+	local.Name = "small"
+	small, err := e.NewJob(&fanWorkload{fanout: 8, depth: 2}, local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Submit(seedTasks(512)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for round := 0; round < 20; round++ {
+		if err := small.Submit(make([]task.Task, 8)...); err != nil {
+			t.Fatal(err)
+		}
+		if err := small.Drain(ctx); err != nil {
+			t.Fatalf("round %d: small tenant's Drain held by the busy one: %v", round, err)
+		}
+		if s := small.Snapshot(); s.Outstanding != 0 || s.Processed != int64((round+1)*8*(1+8+64)) {
+			t.Fatalf("round %d: small tenant after Drain: outstanding %d processed %d",
+				round, s.Outstanding, s.Processed)
+		}
+	}
+	if s := e.Snapshot(); s.Jobs[0].Outstanding == 0 {
+		t.Fatal("busy tenant quiesced during the small tenant's drains")
+	}
+	storm.stop.Store(true)
+	if err := e.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	checkJobLedgers(t, e.Snapshot())
+	_ = e.Stop(context.Background())
+}
+
 // TestJobStallErrorScoping pins the diagnostic split: a job-scoped drain
 // timeout names the blocking job, the engine-wide one speaks for the fleet.
 func TestJobStallErrorScoping(t *testing.T) {

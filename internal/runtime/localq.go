@@ -87,9 +87,10 @@ func newLocalQueue(cfg Config) LocalQueue {
 // kinds the queue is private to the worker; for multiqueue it is a handle
 // into the job's fleet-shared structure (jobState.mq), so relaxation and
 // work balancing stay within the tenant. The d* fields are the worker's
-// deferred per-job ledger deltas, flushed at batch boundaries in retirement-
-// before-outstanding order so the per-job ledger obeys the same publication
-// contract as the global one.
+// deferred per-job ledger deltas, settled once per flush interval in
+// ledger-before-outstanding order so the per-job ledger obeys the same
+// publication contract as the global one (dOut follows worker.acct's
+// stay-negative rule, per job).
 type workerJQ struct {
 	js    *jobState
 	queue LocalQueue
@@ -112,6 +113,7 @@ type workerJQ struct {
 
 	// dirty marks pending deltas (worker.dirtyJQ holds the dirty set).
 	dirty        bool
+	dSpawned     int64
 	dProcessed   int64
 	dBagsRetired int64
 	dCancelled   int64

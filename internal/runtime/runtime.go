@@ -134,7 +134,11 @@ type Config struct {
 	BatchSize int
 	// FlushInterval bounds batching staleness: after this many processed
 	// tasks all partial buffers are force-flushed (a worker that goes idle
-	// always flushes immediately). 0 defaults to 32.
+	// always flushes immediately). It also bounds ledger staleness: a worker
+	// settles its deferred ledger deltas once per FlushInterval processed
+	// tasks, and tops the shared outstanding counts up by a reserve of
+	// FlushInterval tasks when its spawns outrun its retirements. 0 defaults
+	// to 32.
 	FlushInterval int
 	// IdleSpin is how many empty polls a worker performs before it starts
 	// yielding, and how many yields before it sleeps. 0 defaults to 64.
