@@ -72,7 +72,10 @@ type Config struct {
 	// OnImprove selects the adjustment applied when drift improves.
 	// Algorithm 2's pseudocode and its prose contradict each other here
 	// (see the Controller comment); the default, Increase, follows the
-	// prose and keeps distribution load-balancing the cores.
+	// prose and keeps distribution load-balancing the cores. The native
+	// runtime runs Algorithm 2, and so this reading, only in intervals where
+	// no worker starves and drift is at least one priority unit; its control
+	// plane steps the TDF up or down itself otherwise (Controller.Nudge).
 	OnImprove Decision
 }
 
@@ -209,11 +212,7 @@ func (c *Controller) sanitizeDrift(pd float64) float64 {
 // Invalid drifts (NaN/Inf/negative) are clamped first; see InvalidSamples.
 func (c *Controller) UpdateWithRef(pd float64, ref int64) int {
 	pd = c.sanitizeDrift(pd)
-	defer func() {
-		c.history = append(c.history, Record{Drift: pd, Ref: ref, TDF: c.tdf})
-		c.pdPrev = pd
-		c.havePrev = true
-	}()
+	defer c.record(pd, ref)
 	if !c.havePrev {
 		return c.tdf // first interval: nothing to compare against
 	}
@@ -240,6 +239,32 @@ func (c *Controller) UpdateWithRef(pd float64, ref int64) int {
 		}
 	}
 	return c.tdf
+}
+
+// Nudge moves the TDF one step in direction d without consulting
+// Algorithm 2, for a caller that has its own reason to override the
+// heuristic this interval. The interval is recorded like any other, and the
+// step becomes the previous decision with pd the previous drift, so a later
+// UpdateWithRef judges the nudge exactly as it would have judged its own
+// step. Invalid drifts are clamped as in UpdateWithRef.
+func (c *Controller) Nudge(d Decision, pd float64, ref int64) int {
+	pd = c.sanitizeDrift(pd)
+	if d == Increase {
+		c.setTDF(c.tdf + c.cfg.Step)
+	} else {
+		c.setTDF(c.tdf - c.cfg.Step)
+	}
+	c.prev = d
+	c.record(pd, ref)
+	return c.tdf
+}
+
+// record appends the interval's record and makes pd the drift the next
+// interval is compared against.
+func (c *Controller) record(pd float64, ref int64) {
+	c.history = append(c.history, Record{Drift: pd, Ref: ref, TDF: c.tdf})
+	c.pdPrev = pd
+	c.havePrev = true
 }
 
 func (c *Controller) setTDF(v int) {

@@ -4,8 +4,9 @@ package exp
 // showcase: it runs the native runtime with the adaptive controller on, an
 // obs.Recorder attached, and a tight sampling interval, then reports the
 // control plane's time series — per-interval drift, reference priority, and
-// TDF — so the paper's feedback-convergence story (Algorithm 2 steering the
-// TDF away from its 0.5 starting point as measured drift moves) can be read
+// TDF — so the paper's feedback-convergence story (the controller steering
+// the TDF away from its 0.5 starting point as measured drift moves; in the
+// runtime, Algorithm 2 behind its supply and resolution guards) can be read
 // off real traces instead of a single end-of-run average. With
 // Options.TracePath set it also emits the full JSONL trace (recorder meta,
 // per-worker counters, sampled events, control series).

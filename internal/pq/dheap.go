@@ -27,7 +27,8 @@ func NewDHeap(arity, capacity int) *DHeap {
 	return &DHeap{arity: arity, items: make([]task.Task, 0, capacity)}
 }
 
-// NewQuadHeap returns an empty 4-ary heap, the native runtime's default.
+// NewQuadHeap returns an empty 4-ary heap (the native runtime's "dheap"
+// queue kind at its default arity).
 func NewQuadHeap(capacity int) *DHeap { return NewDHeap(4, capacity) }
 
 // Arity returns the heap's branching factor.

@@ -2,10 +2,11 @@ package runtime
 
 // The control layer is the drift-feedback plane of §III-C: workers report
 // the priority of their latest task (Algorithm 3's send side), the layer
-// assembles per-interval snapshots, runs the Algorithm 2 controller, and
-// publishes the resulting TDF for every dispatch decision to read with one
-// atomic load. It is the only part of the runtime with any cross-worker
-// policy state, which is why it gets its own file and tests.
+// assembles per-interval snapshots, runs the Algorithm 2 controller behind
+// two guards (supply, then resolution; see Report), and publishes the
+// resulting TDF for every dispatch decision to read with one atomic load.
+// It is the only part of the runtime with any cross-worker policy state,
+// which is why it gets its own file and tests.
 
 import (
 	"math"
@@ -25,6 +26,15 @@ import (
 // before a slow one reported at all.
 const neverReported = int64(1) << 62
 
+// idleFlag is one worker's starvation flag: set while the worker is out of
+// local work although the fleet still has tasks outstanding. Each flag sits
+// on its own cache line, and its worker writes it only on transitions, so
+// the hot path gains no shared write.
+type idleFlag struct {
+	v atomic.Bool
+	_ [7]int64
+}
+
 // controlPlane owns drift reporting and TDF propagation for one engine.
 type controlPlane struct {
 	useTDF  bool
@@ -41,9 +51,12 @@ type controlPlane struct {
 	reports     atomic.Pointer[[][]int64]
 	reportCount atomic.Int64
 	// clamped counts out-of-range priority reports rejected at the
-	// boundary (negative, or colliding with the never-reported sentinel)
+	// boundary (outside the band around the never-reported sentinel)
 	// before they could corrupt the drift signal.
 	clamped atomic.Int64
+
+	// idle holds one starvation flag per worker (the supply guard's input).
+	idle []idleFlag
 
 	mu   sync.Mutex // serializes controller updates and history reads
 	ctrl *drift.Controller
@@ -63,6 +76,7 @@ func newControlPlane(cfg Config) *controlPlane {
 		workers: cfg.Workers,
 		rec:     cfg.Obs,
 		ctrl:    drift.NewController(cfg.Drift),
+		idle:    make([]idleFlag, cfg.Workers),
 	}
 	rows := [][]int64{cp.newRow()}
 	cp.reports.Store(&rows)
@@ -103,6 +117,26 @@ func (cp *controlPlane) addJob() {
 	cp.mu.Unlock()
 }
 
+// setIdle records whether worker id is starving: out of local work while
+// tasks are outstanding elsewhere. Only worker id calls it, so the flag is
+// stored only when the state changes; every other call is a load of a line
+// the worker already holds.
+func (cp *controlPlane) setIdle(id int, v bool) {
+	if f := &cp.idle[id].v; f.Load() != v {
+		f.Store(v)
+	}
+}
+
+// anyIdle reports whether some worker is starving.
+func (cp *controlPlane) anyIdle() bool {
+	for i := range cp.idle {
+		if cp.idle[i].v.Load() {
+			return true
+		}
+	}
+	return false
+}
+
 // SampleInterval returns the per-worker report spacing in processed tasks.
 func (cp *controlPlane) SampleInterval() int64 {
 	return int64(cp.ctrl.Config().SampleInterval)
@@ -118,14 +152,28 @@ func (cp *controlPlane) SampleInterval() int64 {
 // work dominates the feedback signal. The published reference is the
 // dominant job's. Workers that have never reported for a job are excluded
 // from that job's snapshot rather than contributing stale zeros.
+//
+// Algorithm 2 runs behind two guards; at each interval the first that
+// applies decides the step:
+//  1. Supply: a worker is starving (idle while work is outstanding), so the
+//     TDF steps up — distribution is what feeds that worker.
+//  2. Resolution: drift is below one priority unit, so the workers already
+//     run within one bucket of the reference, the finest order the
+//     workload's priorities express. More spreading cannot improve order and
+//     only pays cross-core transfers, so the TDF steps down.
+//  3. Otherwise Algorithm 2 decides, unchanged.
+//
+// Both guards go through Controller.Nudge, which keeps Algorithm 2's
+// previous-step state consistent so it resumes cleanly.
 func (cp *controlPlane) Report(id int, job task.JobID, prio int64) {
-	// Validate at the boundary: a handler that emits a negative priority or
-	// one colliding with the never-reported sentinel would fabricate a huge
-	// drift term (Equation 1's reference is the minimum report) and walk
-	// the controller's TDF off a corrupted signal. Clamp and count instead.
-	if prio < 0 || prio >= neverReported {
+	// Validate at the boundary: a handler that emits a priority outside
+	// the band around the never-reported sentinel would collide with it or
+	// overflow Equation 1's |p - ref| and walk the controller's TDF off a
+	// corrupted signal. Clamp and count instead. Negative priorities inside
+	// the band are real (PageRank's and coloring's) and pass untouched.
+	if prio <= -neverReported || prio >= neverReported {
 		if prio < 0 {
-			prio = 0
+			prio = -neverReported + 1
 		} else {
 			prio = neverReported - 1
 		}
@@ -180,7 +228,15 @@ func (cp *controlPlane) Report(id int, job task.JobID, prio int64) {
 	}
 	pd := driftSum / weightSum
 	cp.mu.Lock()
-	tdf := cp.ctrl.UpdateWithRef(pd, ref)
+	var tdf int
+	switch {
+	case cp.anyIdle():
+		tdf = cp.ctrl.Nudge(drift.Increase, pd, ref)
+	case pd < 1:
+		tdf = cp.ctrl.Nudge(drift.Decrease, pd, ref)
+	default:
+		tdf = cp.ctrl.UpdateWithRef(pd, ref)
+	}
 	cp.mu.Unlock()
 	cp.tdf.Store(int64(tdf))
 	if rec := cp.rec; rec != nil {

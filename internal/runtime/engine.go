@@ -980,7 +980,9 @@ func (e *Engine) runWorker(id int) {
 				continue
 			}
 			if e.outstanding.Load() == 0 {
-				// Quiescent fleet: park until Submit or Stop.
+				// Quiescent fleet: park until Submit or Stop. A parked worker
+				// is not starving — there is nothing to feed it.
+				e.control.setIdle(id, false)
 				if !e.park(me) {
 					return
 				}
@@ -993,6 +995,7 @@ func (e *Engine) runWorker(id int) {
 			// the stores: an empty-queue spin cannot change any counter.
 			if idle == 0 {
 				me.publish()
+				e.control.setIdle(id, true)
 			}
 			// Adaptive backoff: re-poll hot for a moment (work often lands
 			// within a few hundred ns), then yield the P so the workers
@@ -1009,6 +1012,7 @@ func (e *Engine) runWorker(id int) {
 			continue
 		}
 		idle = 0
+		e.control.setIdle(id, false)
 
 		me.batchLen = n
 		for i := 0; i < n; i++ {

@@ -394,3 +394,70 @@ func TestOutstandingCoversRunningTasks(t *testing.T) {
 		})
 	}
 }
+
+// The supply guard's input: a worker's idle flag is set when it runs out of
+// local work while tasks are outstanding elsewhere, cleared by its next
+// non-empty fill, and left clear by a park on a quiescent fleet.
+func TestIdleFlagLifecycle(t *testing.T) {
+	gate := make(chan struct{})
+	started := make(chan graph.NodeID, 4)
+	w := &fnWorkload{fn: func(tk task.Task, emit func(task.Task)) int {
+		if tk.Node != 2 {
+			started <- tk.Node
+			<-gate
+		}
+		return 1
+	}}
+	e := NewEngine(w, Config{Workers: 2, UseTDF: true})
+	flags := func() [2]bool {
+		return [2]bool{e.control.idle[0].v.Load(), e.control.idle[1].v.Load()}
+	}
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s (flags %v)", what, flags())
+			}
+		}
+	}
+	bothParked := func() bool { return e.workers[0].parked.Load() && e.workers[1].parked.Load() }
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Nothing outstanding: both workers park with their flags clear.
+	waitFor("quiescent park", bothParked)
+	if f := flags(); f != [2]bool{} {
+		t.Fatalf("flags %v on a quiescent fleet, want both clear", f)
+	}
+
+	// Submit round-robins from worker 0: node 1 blocks worker 0, so worker 1
+	// idles with a task outstanding and raises its flag.
+	if err := e.Submit(task.Task{Node: 1}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	waitFor("worker 1 to starve", func() bool { return flags() == [2]bool{false, true} })
+
+	// Node 3 lands on worker 1: the fill that takes it clears the flag
+	// before the task runs.
+	if err := e.Submit(task.Task{Node: 2}, task.Task{Node: 3}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if f := flags(); f[1] {
+		t.Fatalf("flags %v while worker 1 runs a task, want its flag clear", f)
+	}
+
+	close(gate)
+	if err := e.Drain(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("park after drain", bothParked)
+	if f := flags(); f != [2]bool{} {
+		t.Fatalf("flags %v after a quiescent park, want both clear", f)
+	}
+	if err := e.Stop(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -23,8 +23,10 @@
 // (rq.TryPushBatch); a full ring spills to a lock-free Treiber stack
 // instead of a mutex; bag payloads live in a per-worker store addressed by
 // the metadata (no global hash map bouncing between cores); the private
-// queue is a 4-ary heap by default; and idle workers back off
-// spin → Gosched → sleep instead of burning the scheduler.
+// queue is the two-level hot-buffer/bucket queue by default; children stay
+// on their worker unless drift or a starving peer calls for distribution
+// (control.go's guards); and idle workers back off spin → Gosched → sleep
+// instead of burning the scheduler.
 package runtime
 
 import (
